@@ -14,6 +14,7 @@ import (
 
 	"hideseek/internal/emulation"
 	"hideseek/internal/iq"
+	"hideseek/internal/phy"
 	"hideseek/internal/stream"
 	"hideseek/internal/zigbee"
 )
@@ -46,12 +47,22 @@ func testCapture(t *testing.T, seed int64) ([]byte, []bool) {
 	return buf.Bytes(), []bool{false, true}
 }
 
+// zigbeePipelines serves one zigbee pipeline at the tests' sync threshold.
+func zigbeePipelines(t *testing.T) []*phy.Pipeline {
+	t.Helper()
+	p, err := phy.Build("zigbee", phy.Options{SyncThreshold: 0.3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*phy.Pipeline{p}
+}
+
 func testDaemon(t *testing.T, workers int) (*daemon, *httptest.Server) {
 	t.Helper()
 	fleet, err := stream.NewFleet(stream.FleetConfig{
 		Config: stream.Config{
-			Workers:  workers,
-			Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3},
+			Workers:   workers,
+			Pipelines: zigbeePipelines(t),
 		},
 		Shards: 2,
 	})
@@ -237,8 +248,8 @@ func TestObsEndpointExposesDropCounter(t *testing.T) {
 func TestAdmissionShedsWith503(t *testing.T) {
 	fleet, err := stream.NewFleet(stream.FleetConfig{
 		Config: stream.Config{
-			Workers:  2,
-			Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3},
+			Workers:   2,
+			Pipelines: zigbeePipelines(t),
 		},
 		Admission: stream.AdmissionConfig{
 			Enabled:          true,

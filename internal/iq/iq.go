@@ -41,28 +41,23 @@ func overflows(v float64) bool {
 }
 
 // ReadCF32 reads an entire cf32 stream. maxSamples bounds memory
-// (0 = unlimited).
+// (0 = unlimited); a stream of exactly maxSamples samples is accepted.
 func ReadCF32(r io.Reader, maxSamples int) ([]complex128, error) {
-	br := bufio.NewReader(r)
+	rd := NewReaderCF32(r)
+	block := make([]complex128, 4096)
 	var out []complex128
-	var buf [8]byte
 	for {
-		if maxSamples > 0 && len(out) >= maxSamples {
+		n, err := rd.ReadBlock(block)
+		if maxSamples > 0 && len(out)+n > maxSamples {
 			return nil, fmt.Errorf("iq: stream exceeds %d samples", maxSamples)
 		}
-		_, err := io.ReadFull(br, buf[:])
+		out = append(out, block[:n]...)
 		if err == io.EOF {
 			return out, nil
 		}
-		if err == io.ErrUnexpectedEOF {
-			return nil, fmt.Errorf("iq: truncated sample at index %d", len(out))
-		}
 		if err != nil {
-			return nil, fmt.Errorf("iq: read: %w", err)
+			return nil, err
 		}
-		re := math.Float32frombits(binary.LittleEndian.Uint32(buf[0:4]))
-		im := math.Float32frombits(binary.LittleEndian.Uint32(buf[4:8]))
-		out = append(out, complex(float64(re), float64(im)))
 	}
 }
 

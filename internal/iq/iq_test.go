@@ -98,6 +98,26 @@ func TestCF32Errors(t *testing.T) {
 	}
 }
 
+// TestCF32ExactLimit: a stream of exactly maxSamples samples is within
+// the bound (as ReadCSV treats it); one more sample is not.
+func TestCF32ExactLimit(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteCF32(&buf, make([]complex128, 5)); err != nil {
+		t.Fatal(err)
+	}
+	raw := buf.Bytes()
+	got, err := ReadCF32(bytes.NewReader(raw), 5)
+	if err != nil || len(got) != 5 {
+		t.Fatalf("exact-limit stream: %d samples, err %v; want 5, nil", len(got), err)
+	}
+	if _, err := ReadCF32(bytes.NewReader(raw), 4); err == nil {
+		t.Error("accepted stream one sample above limit")
+	}
+	if _, err := ReadCSV(strings.NewReader("1,2\n3,4\n"), 2); err != nil {
+		t.Errorf("CSV exact-limit stream: %v", err)
+	}
+}
+
 func TestCSVRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	wave := randomWave(rng, 200)

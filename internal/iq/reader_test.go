@@ -2,9 +2,11 @@ package iq
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math/rand"
 	"testing"
+	"testing/iotest"
 )
 
 func TestReaderCF32Blocks(t *testing.T) {
@@ -81,5 +83,51 @@ func TestReaderCF32EmptyBuffer(t *testing.T) {
 	r := NewReaderCF32(bytes.NewReader(nil))
 	if _, err := r.ReadBlock(nil); err == nil {
 		t.Fatal("accepted empty destination")
+	}
+}
+
+// TestReaderCF32ReadShapes: how the underlying reader splits its reads
+// (one byte at a time, half reads, data returned together with EOF) must
+// not change a single sample, block boundary, or error, on a clean stream
+// and on one ending in a partial sample.
+func TestReaderCF32ReadShapes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	samples := make([]complex128, 200)
+	for i := range samples {
+		samples[i] = complex(float64(float32(rng.NormFloat64())), float64(float32(rng.NormFloat64())))
+	}
+	var buf bytes.Buffer
+	if err := WriteCF32(&buf, samples); err != nil {
+		t.Fatal(err)
+	}
+	// Three full 64-sample blocks, then a short final block of 8.
+	call := func(lo, hi int, err string) string { return fmt.Sprintf("%v %s", samples[lo:hi], err) }
+	clean := []string{call(0, 64, "<nil>"), call(64, 128, "<nil>"), call(128, 192, "<nil>"), call(192, 200, "<nil>"), "[] EOF"}
+	truncated := append(clean[:3:3], call(192, 200, "iq: truncated sample at index 200"))
+	for _, tc := range []struct {
+		data []byte
+		want []string
+	}{
+		{buf.Bytes(), clean},
+		{append(buf.Bytes(), 1, 2, 3), truncated},
+	} {
+		for shape, r := range map[string]io.Reader{
+			"whole":    bytes.NewReader(tc.data),
+			"one-byte": iotest.OneByteReader(bytes.NewReader(tc.data)),
+			"half":     iotest.HalfReader(bytes.NewReader(tc.data)),
+			"data-err": iotest.DataErrReader(bytes.NewReader(tc.data)),
+		} {
+			rd := NewReaderCF32(r)
+			block := make([]complex128, 64)
+			var got []string
+			for err := error(nil); err == nil; {
+				var n int
+				n, err = rd.ReadBlock(block)
+				got = append(got, fmt.Sprintf("%v %v", block[:n], err))
+			}
+			if fmt.Sprint(got) != fmt.Sprint(tc.want) {
+				t.Errorf("%s reader, %d bytes: ReadBlock calls diverge:\n got %.300q\nwant %.300q", shape, len(tc.data), got, tc.want)
+			}
+		}
 	}
 }

@@ -35,9 +35,8 @@ func init() {
 }
 
 // NewPipeline builds the zigbee pipeline from the protocol's native
-// configs — the constructor the stream package's legacy Config path and
-// the CLI tools use when they need knobs phy.Options does not carry
-// (despread mode, chip source, ...).
+// configs — the constructor the CLI tools use when they need knobs
+// phy.Options does not carry (despread mode, chip source, ...).
 func NewPipeline(rc zigbee.ReceiverConfig, dc emulation.DefenseConfig) (*phy.Pipeline, error) {
 	rx, err := zigbee.NewReceiver(rc)
 	if err != nil {

@@ -29,7 +29,7 @@ func BenchmarkStreamScan(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cfg := Config{Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3}}
+	cfg := testConfig()
 	e, err := NewEngine(cfg)
 	if err != nil {
 		b.Fatal(err)
@@ -85,7 +85,7 @@ func BenchmarkEngineSaturation(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				f, err := NewFleet(FleetConfig{
-					Config:    Config{Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3}},
+					Config:    testConfig(),
 					Shards:    4,
 					Admission: AdmissionConfig{Enabled: true},
 				})

@@ -76,9 +76,6 @@ type Engine struct {
 
 // NewEngine validates cfg, builds the served pipelines, and starts the
 // worker pool. Close must be called to release the workers.
-// applyDefaults has already synthesized Config.Pipelines from the
-// deprecated legacy fields if needed, so Pipelines is the only
-// construction path from here on.
 func NewEngine(cfg Config) (*Engine, error) {
 	if err := cfg.applyDefaults(); err != nil {
 		return nil, err
@@ -242,7 +239,6 @@ func (e *Engine) processJob(rx phy.Receiver, j job, wait time.Duration) Verdict 
 	decodeStart := time.Now()
 	rec, err := rx.DecodeAt(j.frame, 0, j.peak)
 	v.DecodeNS = sinceNS(decodeStart)
-	obsDecode.Since(decodeStart)
 	obsDecodeNS.Observe(float64(v.DecodeNS))
 	j.trace.AddSpanDur(StageDecode, decodeStart, time.Duration(v.DecodeNS), err)
 	if err != nil {
@@ -260,7 +256,6 @@ func (e *Engine) processJob(rx phy.Receiver, j job, wait time.Duration) Verdict 
 	detectStart := time.Now()
 	det, err := analyzer.Analyze(rec)
 	v.DetectNS = sinceNS(detectStart)
-	obsDetect.Since(detectStart)
 	obsDetectNS.Observe(float64(v.DetectNS))
 	j.trace.AddSpanDur(StageDetect, detectStart, time.Duration(v.DetectNS), err)
 	if err != nil {

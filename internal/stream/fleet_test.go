@@ -22,7 +22,7 @@ func TestFleetSingleShardMatchesBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	want := batchVerdicts(t, capture, cfg)
+	want := batchVerdicts(t, capture)
 
 	f, err := NewFleet(FleetConfig{Config: cfg})
 	if err != nil {
@@ -385,8 +385,7 @@ func TestProcessOptionValidation(t *testing.T) {
 	if _, err := e.Process(context.Background(), nil, nil); err == nil {
 		t.Fatal("nil source accepted")
 	}
-	// The deprecated wrapper and the options form stay equivalent.
-	if _, err := e.ProcessProto(context.Background(), "zigbee", NewSliceSource(nil), nil); err != nil {
-		t.Fatalf("ProcessProto wrapper: %v", err)
+	if _, err := e.Process(context.Background(), NewSliceSource(nil), nil, WithProto("zigbee")); err != nil {
+		t.Fatalf("WithProto(zigbee): %v", err)
 	}
 }

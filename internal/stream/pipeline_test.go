@@ -7,6 +7,8 @@ import (
 	"testing"
 
 	"hideseek/internal/emulation"
+	"hideseek/internal/phy"
+	"hideseek/internal/phy/zigbeephy"
 	"hideseek/internal/zigbee"
 )
 
@@ -30,10 +32,17 @@ func testFrames(t *testing.T, psdu []byte) (authentic, emulated []complex128) {
 	return authentic, res.Emulated4M
 }
 
+// testSyncThreshold is the zigbee sync threshold of testConfig's pipeline
+// and of the batch reference receiver it is compared against.
+const testSyncThreshold = 0.3
+
+// testConfig serves one zigbee pipeline with the default defense.
 func testConfig() Config {
-	return Config{
-		Receiver: zigbee.ReceiverConfig{SyncThreshold: 0.3},
+	p, err := phy.Build(zigbeephy.Protocol, phy.Options{SyncThreshold: testSyncThreshold})
+	if err != nil {
+		panic(err)
 	}
+	return Config{Pipelines: []*phy.Pipeline{p}}
 }
 
 // refVerdict is the batch golden: what the whole-capture receiver plus
@@ -49,14 +58,14 @@ type refVerdict struct {
 }
 
 // batchVerdicts runs the batch reference pipeline (ReceiveAll + Detector)
-// over a capture.
-func batchVerdicts(t *testing.T, capture []complex128, cfg Config) []refVerdict {
+// over a capture, configured as testConfig's pipeline.
+func batchVerdicts(t *testing.T, capture []complex128) []refVerdict {
 	t.Helper()
-	rx, err := zigbee.NewReceiver(cfg.Receiver)
+	rx, err := zigbee.NewReceiver(zigbee.ReceiverConfig{SyncThreshold: testSyncThreshold})
 	if err != nil {
 		t.Fatal(err)
 	}
-	det, err := emulation.NewDetector(cfg.Defense)
+	det, err := emulation.NewDetector(emulation.DefenseConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -146,7 +155,7 @@ func TestChunkSizesMatchBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := testConfig()
-	want := batchVerdicts(t, capture, cfg)
+	want := batchVerdicts(t, capture)
 	if len(want) != 3 {
 		t.Fatalf("batch receiver found %d frames, want 3", len(want))
 	}
@@ -271,12 +280,13 @@ func TestBuildCaptureValidation(t *testing.T) {
 
 // TestConfigValidation covers Config guard rails.
 func TestConfigValidation(t *testing.T) {
+	valid := testConfig().Pipelines
 	for _, cfg := range []Config{
-		{ChunkSize: -1},
-		{QueueDepth: -1},
-		{MaxPending: -1},
-		{Receiver: zigbee.ReceiverConfig{SyncThreshold: 2}},
-		{Defense: emulation.DefenseConfig{Threshold: -1}},
+		{ChunkSize: -1, Pipelines: valid},
+		{QueueDepth: -1, Pipelines: valid},
+		{MaxPending: -1, Pipelines: valid},
+		{}, // no pipelines
+		{Pipelines: []*phy.Pipeline{nil}},
 	} {
 		if e, err := NewEngine(cfg); err == nil {
 			e.Close()

@@ -38,7 +38,7 @@ func TestConcurrentSessionsSharedEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		goldens[i] = batchVerdicts(t, captures[i], cfg)
+		goldens[i] = batchVerdicts(t, captures[i])
 	}
 
 	results := make([][]Verdict, sessions)

@@ -136,7 +136,9 @@ func TestTracingDisabledLeavesVerdictsBare(t *testing.T) {
 func TestDroppedFrameTraceRecordsError(t *testing.T) {
 	tracer := obs.NewTracer(obs.TracerConfig{Ring: 16})
 	defer tracer.Close()
-	e, err := NewEngine(Config{Workers: 1, Tracer: tracer})
+	cfg := testConfig()
+	cfg.Workers, cfg.Tracer = 1, tracer
+	e, err := NewEngine(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

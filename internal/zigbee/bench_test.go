@@ -175,12 +175,11 @@ func BenchmarkClockRecovery(b *testing.B) {
 	}
 }
 
-// benchDecodeAt times the post-synchronization decode of one frame — the
-// stream worker's steady-state unit of work — on the chosen despread path.
-func benchDecodeAt(b *testing.B, directDespread bool) {
-	b.Helper()
+// BenchmarkDecodeAt times the post-synchronization decode of one frame —
+// the stream worker's steady-state unit of work.
+func BenchmarkDecodeAt(b *testing.B) {
 	wave := benchWaveform(b)
-	rx, err := NewReceiver(ReceiverConfig{DirectDespread: directDespread})
+	rx, err := NewReceiver(ReceiverConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -197,16 +196,12 @@ func benchDecodeAt(b *testing.B, directDespread bool) {
 	}
 }
 
-func BenchmarkDecodeAt(b *testing.B)       { benchDecodeAt(b, false) }
-func BenchmarkDecodeAtDirect(b *testing.B) { benchDecodeAt(b, true) }
-
-// benchDespread times just the frame-wide soft despreading stage —
-// batched FFT bank vs per-symbol direct correlation — on a decoded
-// frame's matched-filter chip stream.
-func benchDespread(b *testing.B, directDespread bool) {
-	b.Helper()
+// BenchmarkDespread times just the frame-wide soft despreading stage — the
+// per-window 16-codeword correlation sweep — on a decoded frame's
+// matched-filter chip stream.
+func BenchmarkDespread(b *testing.B) {
 	wave := benchWaveform(b)
-	rx, err := NewReceiver(ReceiverConfig{DirectDespread: directDespread})
+	rx, err := NewReceiver(ReceiverConfig{})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -224,6 +219,3 @@ func benchDespread(b *testing.B, directDespread bool) {
 		}
 	}
 }
-
-func BenchmarkDespreadBatched(b *testing.B)       { benchDespread(b, false) }
-func BenchmarkDespreadBatchedDirect(b *testing.B) { benchDespread(b, true) }

@@ -44,9 +44,9 @@ func buildChipTable() [16][ChipsPerSymbol]bits.Bit {
 }
 
 // chipPM holds the 16 spreading sequences in ±1 float form — the codebook
-// the receiver's batched despreader correlates against (correlation
-// against ±1 codewords reproduces the add/subtract accumulation of
-// DespreadSoft bit for bit).
+// the receiver's soft despread sweep correlates each window against
+// (correlation against ±1 codewords reproduces the add/subtract
+// accumulation of DespreadSoft bit for bit).
 var chipPM = func() [16][ChipsPerSymbol]float64 {
 	var pm [16][ChipsPerSymbol]float64
 	for s := range chipTable {
@@ -60,6 +60,31 @@ var chipPM = func() [16][ChipsPerSymbol]float64 {
 	}
 	return pm
 }()
+
+// chipWords holds the 16 spreading sequences packed one chip per bit
+// (chip i in bit i), so the Hamming distance between a window's hard
+// decisions and a codeword is one XOR and a popcount.
+var chipWords = func() [16]uint32 {
+	var words [16]uint32
+	for s := range chipTable {
+		for i, c := range chipTable[s] {
+			words[s] |= uint32(c) << i
+		}
+	}
+	return words
+}()
+
+// signWord packs a window's hard chip decisions (1 where the sample is
+// ≥ 0, as HardChips decides) into the chipWords layout.
+func signWord(window *[ChipsPerSymbol]float64) uint32 {
+	var w uint32
+	for i, v := range window {
+		if v >= 0 {
+			w |= 1 << i
+		}
+	}
+	return w
+}
 
 // differentialTable precomputes DifferentialChipSequence for all 16
 // symbols so the FM despread loop never rebuilds the patterns.

@@ -3,114 +3,48 @@ package zigbee
 import (
 	"math/rand"
 	"testing"
-
-	"hideseek/internal/bits"
 )
 
-// The FFT-batched despreader (dsp.CorrelatorBank) must make the same
-// symbol decisions as the per-symbol direct correlation sweep, with the
-// reported Hamming distances always recomputed exactly: the contract is
-// full-Reception equality, field for field, including the chip streams
-// and per-symbol results. These tests sweep the sync-parity corpus plus a
-// dedicated near-threshold seed sweep through paired receivers — one on
-// the batched bank, one with DirectDespread set — in every despread mode.
-// Under the slowsync build tag both receivers run the direct path and the
-// comparisons are trivially (but harmlessly) true.
-
-// despreadParityReceivers returns a batched-bank and a direct-despread
-// receiver with the same configuration.
-func despreadParityReceivers(t *testing.T, cfg ReceiverConfig) (batched, direct *Receiver) {
+// referenceDespread runs the standalone reference despreader of mode on
+// the chip streams a reception exposes.
+func referenceDespread(t *testing.T, mode DespreadMode, soft, disc []float64) []DespreadResult {
 	t.Helper()
-	batched, err := NewReceiver(cfg)
-	if err != nil {
-		t.Fatal(err)
+	var want []DespreadResult
+	var err error
+	switch mode {
+	case HardThreshold:
+		want, err = DespreadHard(HardChips(soft), DefaultHammingThreshold)
+	case SoftCorrelation:
+		want, err = DespreadSoft(soft)
+	case FMDiscriminator:
+		want, err = DespreadDiscriminator(disc, DefaultHammingThreshold)
 	}
-	cfg.DirectDespread = true
-	direct, err = NewReceiver(cfg)
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("mode %d: reference despread: %v", mode, err)
 	}
-	return batched, direct
+	return want
 }
 
-// assertReceptionsEqual requires bitwise equality of every field of two
-// receptions, scalars and slices alike.
-func assertReceptionsEqual(t *testing.T, tag string, f, d *Reception) {
+// assertResultsEqual requires the receiver's per-symbol results to equal
+// the reference despreader's, field for field.
+func assertResultsEqual(t *testing.T, tag string, got, want []DespreadResult) {
 	t.Helper()
-	if (f == nil) != (d == nil) {
-		t.Fatalf("%s: one reception nil (%v vs %v)", tag, f, d)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d results vs reference %d", tag, len(got), len(want))
 	}
-	if f == nil {
-		return
-	}
-	if f.StartSample != d.StartSample || f.SyncPeak != d.SyncPeak {
-		t.Errorf("%s: start/peak (%d, %v) vs (%d, %v)", tag, f.StartSample, f.SyncPeak, d.StartSample, d.SyncPeak)
-	}
-	if f.PhaseEstimate != d.PhaseEstimate || f.NoisePowerEstimate != d.NoisePowerEstimate || f.SNREstimateDB != d.SNREstimateDB {
-		t.Errorf("%s: estimates diverge", tag)
-	}
-	if string(f.PSDU) != string(d.PSDU) {
-		t.Errorf("%s: PSDU %q vs %q", tag, f.PSDU, d.PSDU)
-	}
-	if f.SymbolErrors != d.SymbolErrors {
-		t.Errorf("%s: symbol errors %d vs %d", tag, f.SymbolErrors, d.SymbolErrors)
-	}
-	floatsEqual := func(name string, a, b []float64) {
-		if len(a) != len(b) {
-			t.Fatalf("%s: %s length %d vs %d", tag, name, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: %s[%d] = %v vs %v, must be bitwise equal", tag, name, i, a[i], b[i])
-			}
-		}
-	}
-	floatsEqual("SoftChips", f.SoftChips, d.SoftChips)
-	floatsEqual("PeakChips", f.PeakChips, d.PeakChips)
-	floatsEqual("DiscriminatorChips", f.DiscriminatorChips, d.DiscriminatorChips)
-	if (f.RecoveredChips == nil) != (d.RecoveredChips == nil) {
-		t.Fatalf("%s: recovered chips presence differs", tag)
-	}
-	if f.RecoveredChips != nil {
-		floatsEqual("RecoveredChips.Soft", f.RecoveredChips.Soft, d.RecoveredChips.Soft)
-		floatsEqual("RecoveredChips.Timing", f.RecoveredChips.Timing, d.RecoveredChips.Timing)
-	}
-	if len(f.Results) != len(d.Results) {
-		t.Fatalf("%s: %d results vs %d", tag, len(f.Results), len(d.Results))
-	}
-	for i := range f.Results {
-		if f.Results[i] != d.Results[i] {
-			t.Fatalf("%s: result %d: %+v vs %+v", tag, i, f.Results[i], d.Results[i])
-		}
-	}
-}
-
-func TestReceiveAllParityBatchedVsDirectDespread(t *testing.T) {
-	for _, mode := range []DespreadMode{HardThreshold, SoftCorrelation, FMDiscriminator} {
-		batched, direct := despreadParityReceivers(t, ReceiverConfig{Mode: mode})
-		for i, capture := range parityCorpus(t) {
-			fRecs, fErr := batched.ReceiveAll(capture, 0)
-			dRecs, dErr := direct.ReceiveAll(capture, 0)
-			if (fErr == nil) != (dErr == nil) {
-				t.Fatalf("mode %d capture %d: ReceiveAll err mismatch: %v vs %v", mode, i, fErr, dErr)
-			}
-			if len(fRecs) != len(dRecs) {
-				t.Fatalf("mode %d capture %d: %d frames (batched) vs %d (direct)", mode, i, len(fRecs), len(dRecs))
-			}
-			// Both result sets are scratch-backed views into their own
-			// receivers' arenas, so they can be compared directly: no
-			// other decode happens before the comparison finishes.
-			for j := range fRecs {
-				assertReceptionsEqual(t, "", fRecs[j], dRecs[j])
-			}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: result %d: receiver %+v vs reference %+v", tag, i, got[i], want[i])
 		}
 	}
 }
 
 // TestDespreadParityNearThreshold stresses the symbol-decision boundary:
 // many noise seeds at SNRs where chip errors hover around the Hamming
-// drop threshold and soft correlations run nearly tied, where an
-// FFT-vs-direct rounding flip in the argmax would surface.
+// drop threshold and soft correlations run nearly tied. In every mode the
+// receiver's Results must match what the reference despreaders produce
+// from the receiver's own chip streams. Receive still reports Results
+// when symbol windows drop, so dropped windows are compared too.
 func TestDespreadParityNearThreshold(t *testing.T) {
 	tx := NewTransmitter()
 	wave, err := tx.TransmitPSDU([]byte("edge-despread"))
@@ -118,85 +52,87 @@ func TestDespreadParityNearThreshold(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, mode := range []DespreadMode{HardThreshold, SoftCorrelation, FMDiscriminator} {
-		batched, direct := despreadParityReceivers(t, ReceiverConfig{Mode: mode, SyncThreshold: 0.3})
-		drops, decodes := 0, 0
+		rx, err := NewReceiver(ReceiverConfig{Mode: mode, SyncThreshold: 0.3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		compared := 0
 		for seed := int64(0); seed < 40; seed++ {
 			rng := rand.New(rand.NewSource(4000 + seed))
 			capture := addAWGN(rng, wave, 0.55+0.03*float64(seed%10))
-			fRec, fErr := batched.Receive(capture)
-			dRec, dErr := direct.Receive(capture)
-			if (fErr == nil) != (dErr == nil) {
-				t.Fatalf("mode %d seed %d: err mismatch: %v vs %v", mode, seed, fErr, dErr)
+			rec, _ := rx.Receive(capture)
+			if rec == nil || len(rec.Results) == 0 {
+				continue // no frame-level despread ran (sync or header failure)
 			}
-			if fErr != nil {
-				drops++
-				continue
-			}
-			decodes++
-			assertReceptionsEqual(t, "", fRec, dRec)
-			for _, r := range fRec.Results {
-				if r.Dropped {
-					drops++
-				}
-			}
+			want := referenceDespread(t, mode, rec.SoftChips, rec.DiscriminatorChips)
+			assertResultsEqual(t, "near-threshold", rec.Results, want)
+			compared++
 		}
-		if decodes == 0 {
-			t.Errorf("mode %d: near-threshold sweep decoded nothing — not exercising the boundary", mode)
+		if compared == 0 {
+			t.Errorf("mode %d: near-threshold sweep despread no frame — not exercising the boundary", mode)
 		}
 	}
 }
 
-// TestDespreadPipelineMatchesLegacyAPI pins the batched in-place decode
-// against the standalone reference despreaders on a clean golden frame:
-// the receiver's Results must match what DespreadHard/DespreadSoft/
-// DespreadDiscriminator produce from the receiver's own chip streams.
+// TestDespreadPipelineMatchesLegacyAPI pins the receiver's in-place
+// despread against the standalone reference despreaders on a clean
+// golden frame: the receiver's Results must match what DespreadHard/
+// DespreadSoft/DespreadDiscriminator produce from the receiver's own chip
+// streams.
 func TestDespreadPipelineMatchesLegacyAPI(t *testing.T) {
 	tx := NewTransmitter()
 	wave, err := tx.TransmitPSDU([]byte("golden"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	rng := rand.New(rand.NewSource(9))
-	capture := addAWGN(rng, wave, 0.2)
-	for _, tc := range []struct {
-		mode DespreadMode
-		name string
-	}{
-		{HardThreshold, "hard"}, {SoftCorrelation, "soft"}, {FMDiscriminator, "fm"},
-	} {
-		rx, err := NewReceiver(ReceiverConfig{Mode: tc.mode})
+	capture := addAWGN(rand.New(rand.NewSource(9)), wave, 0.2)
+	for _, mode := range []DespreadMode{HardThreshold, SoftCorrelation, FMDiscriminator} {
+		rx, err := NewReceiver(ReceiverConfig{Mode: mode})
 		if err != nil {
 			t.Fatal(err)
 		}
 		rec, err := rx.Receive(capture)
 		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
+			t.Fatalf("mode %d: golden frame: %v", mode, err)
 		}
-		var want []DespreadResult
-		switch tc.mode {
-		case HardThreshold:
-			hard := make([]bits.Bit, len(rec.SoftChips))
-			for i, v := range rec.SoftChips {
-				if v >= 0 {
-					hard[i] = 1
-				}
-			}
-			want, err = DespreadHard(hard, DefaultHammingThreshold)
-		case SoftCorrelation:
-			want, err = DespreadSoft(rec.SoftChips)
-		case FMDiscriminator:
-			want, err = DespreadDiscriminator(rec.DiscriminatorChips, DefaultHammingThreshold)
-		}
-		if err != nil {
-			t.Fatalf("%s: legacy despread: %v", tc.name, err)
-		}
-		if len(want) != len(rec.Results) {
-			t.Fatalf("%s: %d results vs legacy %d", tc.name, len(rec.Results), len(want))
-		}
-		for i := range want {
-			if want[i] != rec.Results[i] {
-				t.Errorf("%s: result %d: pipeline %+v vs legacy %+v", tc.name, i, rec.Results[i], want[i])
+		want := referenceDespread(t, mode, rec.SoftChips, rec.DiscriminatorChips)
+		assertResultsEqual(t, "golden", rec.Results, want)
+	}
+}
+
+// TestDespreadTiesMatchLegacyAPI feeds the receiver's despreaders windows
+// built to tie: the all-zero window (every codeword equally close) and
+// the midpoint of every codeword pair. Ties must break exactly as in
+// DespreadHard/DespreadSoft — the first index wins. A codeword with its
+// −1 chips zeroed pins the hard decision of an exact 0 (chip 1).
+func TestDespreadTiesMatchLegacyAPI(t *testing.T) {
+	soft := make([]float64, 2*ChipsPerSymbol) // all-zero window
+	for i, c := range chipPM[5] {
+		soft[ChipsPerSymbol+i] = max(c, 0)
+	}
+	for a := 0; a < 16; a++ {
+		for b := a + 1; b < 16; b++ {
+			for i := 0; i < ChipsPerSymbol; i++ {
+				soft = append(soft, (chipPM[a][i]+chipPM[b][i])/2)
 			}
 		}
+	}
+	rx, err := NewReceiver(ReceiverConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]DespreadResult, len(soft)/ChipsPerSymbol)
+	for mode, despread := range map[DespreadMode]func([]DespreadResult, []float64) error{
+		HardThreshold:   rx.despreadHardInto,
+		SoftCorrelation: rx.despreadSoftInto,
+	} {
+		if err := despread(got, soft); err != nil {
+			t.Fatal(err)
+		}
+		want := referenceDespread(t, mode, soft, nil)
+		if want[0].Symbol != 0 {
+			t.Fatalf("mode %d: all-zero window: reference picks %d, want 0", mode, want[0].Symbol)
+		}
+		assertResultsEqual(t, "tie", got, want)
 	}
 }
